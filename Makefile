@@ -34,7 +34,7 @@ vet:
 	$(GO) vet ./...
 
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkLookup|BenchmarkARTLookup|BenchmarkOptimisticRead|BenchmarkLeafFind|BenchmarkFP|BenchmarkChildIndex' -benchmem -count 6 ./internal/btree/ ./internal/art/ ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkLookup|BenchmarkARTLookup|BenchmarkOptimisticRead|BenchmarkLeafFind|BenchmarkFP|BenchmarkChildIndex|BenchmarkClientPipelineGet' -benchmem -count 6 ./internal/btree/ ./internal/art/ ./internal/core/ ./internal/server/
 
 clean:
 	rm -rf bin

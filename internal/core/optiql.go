@@ -297,6 +297,18 @@ func (l *OptiQL) ReleaseShQueued(qnode *QNode, opportunistic bool) int {
 		if l.word.CompareAndSwap(expected, v) {
 			return 0
 		}
+		if opportunistic {
+			// A group granted by another shared tail (grantChain) never
+			// had the window re-opened — the last member's Swap cleared
+			// it — so the CAS above can fail with no successor at all.
+			// Open it as releaseEx does; if we are still the latest
+			// requester the word now matches and the retry frees it,
+			// otherwise a successor is linking and is granted below.
+			l.word.Or(OpReadBit | v)
+			if qnode.next.Load() == nil && l.word.CompareAndSwap(expected, v) {
+				return 0
+			}
+		}
 	}
 	for qnode.next.Load() == nil {
 		s.Spin()

@@ -261,3 +261,43 @@ func TestQueuedSharedMutualExclusion(t *testing.T) {
 		t.Logf("note: readers never overlapped (max concurrency %d); batch grants untested by this run", maxReaders.Load())
 	}
 }
+
+// TestSharedGroupGrantedBySharedTailReleases pins the release of a
+// shared group that was granted by another shared group's tail rather
+// than by a writer. The successor's tail Swap clears the opportunistic
+// window, and nothing re-opens it before the grant, so its release must
+// not depend on finding the window open: as the last requester it has
+// to free the lock, not wait for a successor that never comes.
+func TestSharedGroupGrantedBySharedTailReleases(t *testing.T) {
+	for _, opportunistic := range []bool{true, false} {
+		pool := NewPool(8)
+		var l OptiQL
+		s0, s1 := pool.Get(), pool.Get()
+		if l.AcquireShQueued(s0, opportunistic) {
+			t.Fatal("free shared acquire reported handover")
+		}
+		granted := make(chan struct{})
+		released := make(chan int, 1)
+		go func() {
+			l.AcquireShQueued(s1, opportunistic)
+			close(granted)
+			released <- l.ReleaseShQueued(s1, opportunistic)
+		}()
+		waitQID(t, &l, s1.id) // s1 has swapped in behind s0
+		if fan := l.ReleaseShQueued(s0, opportunistic); fan != 1 {
+			t.Fatalf("opportunistic=%v: s0 release fanout = %d, want 1", opportunistic, fan)
+		}
+		<-granted
+		select {
+		case fan := <-released:
+			if fan != 0 {
+				t.Fatalf("opportunistic=%v: last requester's release fanout = %d, want 0", opportunistic, fan)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("opportunistic=%v: last requester's shared release never returned (word=%#x)", opportunistic, l.Word())
+		}
+		if l.IsLocked() {
+			t.Fatalf("opportunistic=%v: lock still locked after the group drained (word=%#x)", opportunistic, l.Word())
+		}
+	}
+}

@@ -137,10 +137,14 @@ func TestMCSRWReleaseShNonCloser(t *testing.T) {
 		<-release
 		l.ReleaseSh(c, t1)
 	}()
+	// Each reader is queued once it has linked itself behind its
+	// predecessor; the writer's node is the queue head.
 	var spin core.Spinner
-	for l.tail.Load() == nil {
+	wn := l.tail.Load()
+	for wn.next.Load() == nil {
 		spin.Spin()
 	}
+	r1n := wn.next.Load()
 	go func() {
 		c := NewCtx(pool, 4)
 		defer c.Close()
@@ -148,9 +152,11 @@ func TestMCSRWReleaseShNonCloser(t *testing.T) {
 		close(r2in)
 		l.ReleaseSh(c, t2) // r2 may or may not be the group tail
 	}()
-	// Wait for both to be queued behind the writer, then hand over.
-	for i := 0; i < 1000; i++ {
-		_ = i
+	// Wait for both to be queued behind the writer, then hand over. A
+	// reader that arrives only after r1's grant queues behind the
+	// granted group and would wait for r1, which waits for it.
+	for r1n.next.Load() == nil {
+		spin.Spin()
 	}
 	l.ReleaseEx(c1, wtok)
 	<-r1in

@@ -89,7 +89,8 @@ func TestReadersObserveConsistentState(t *testing.T) {
 	for _, name := range ReaderCapableNames() {
 		t.Run(name, func(t *testing.T) {
 			scheme := MustByName(name)
-			pool := core.NewPool(writers * 4)
+			// Every writer and reader goroutine reserves 4 queue nodes.
+			pool := core.NewPool((writers + readers) * 4)
 			l := scheme.NewLock()
 			var a, b atomic.Uint64
 

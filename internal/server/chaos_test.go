@@ -383,6 +383,53 @@ func TestServerSurvivesHandlerPanic(t *testing.T) {
 	}
 }
 
+// TestInlineReadPanicAnsweredInOrder pipelines a panicking GET between
+// ordinary requests. Single reads execute before they are queued for
+// the writer, so this pins that a contained read panic still answers
+// its own slot with StatusErr, after every earlier response and before
+// the connection closes.
+func TestInlineReadPanicAnsweredInOrder(t *testing.T) {
+	const boom = uint64(0xDEAD)
+	srv, addr := startServer(t, Config{Shards: 2})
+	srv.hooks.panicKey.Store(boom)
+	cl, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.SetTimeout(10 * time.Second)
+	for _, r := range []wire.Request{wire.Put(7, 70), wire.Get(7), wire.Scan(0, 4), wire.Get(boom), wire.Get(7)} {
+		if err := cl.Send(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := cl.Recv(); err != nil || resp.Status != wire.StatusOK || !resp.Inserted {
+		t.Fatalf("put = %+v, %v", resp, err)
+	}
+	if resp, err := cl.Recv(); err != nil || resp.Status != wire.StatusOK || resp.Value != 70 {
+		t.Fatalf("get before the panic = %+v, %v", resp, err)
+	}
+	if resp, err := cl.Recv(); err != nil || resp.Status != wire.StatusOK || len(resp.Pairs) != 1 || resp.Pairs[0].Key != 7 {
+		t.Fatalf("scan before the panic = %+v, %v", resp, err)
+	}
+	resp, err := cl.Recv()
+	if err != nil {
+		t.Fatalf("get on panic key: %v", err)
+	}
+	if resp.Status != wire.StatusErr || !strings.Contains(resp.Err, "internal error") {
+		t.Fatalf("get on panic key = %+v", resp)
+	}
+	if resp, err := cl.Recv(); err == nil {
+		t.Fatalf("request after a read-path panic was answered: %+v", resp)
+	}
+	if st := srv.Stats(); st.Panics != 1 {
+		t.Fatalf("panics = %d, want 1", st.Panics)
+	}
+}
+
 // TestAdmissionControlSheds slows the executor to a crawl, floods one
 // shard past its in-flight budget and checks the overflow is answered
 // with StatusOverloaded (not queued, not blocked) — and that a

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,11 +21,16 @@ import (
 // writer. The writer sends responses strictly in admission order,
 // waiting on ready; ready closes when every constituent operation
 // (one, or each sub-operation of a batch) has filled its slot.
+//
+// A single GET or SCAN is answered by the reader before it is queued
+// (inline): its ready is the shared closedReady, and the writer
+// recycles it through readPool once the response is encoded.
 type pending struct {
 	req       wire.Request
 	resp      wire.Response
 	remaining atomic.Int32
 	ready     chan struct{}
+	inline    bool
 	// span is the request's trace-tree ID: connection ID and request
 	// sequence packed by the reader when its sampler fired, 0 when the
 	// request is unsampled (or tracing is off). Every phase span of
@@ -34,7 +40,8 @@ type pending struct {
 	// scanBufs holds the pooled buffers whose storage the response's
 	// Pairs alias; the writer returns them once the frame is encoded.
 	// Appended only by the reader goroutine before opDone, read by the
-	// writer after ready closes.
+	// writer after ready closes. Its storage survives release, so a
+	// recycled inline pending appends without allocating.
 	scanBufs []*scanBuf
 	// applied closes once every write routed from this request has been
 	// applied to its shard index. Allocated only when a WAL defers ready
@@ -76,17 +83,48 @@ func (p *pending) routingDone() {
 // response's Pairs must not be read afterwards — their storage is back
 // in the pool — so they are cleared here.
 func (p *pending) release() {
-	if p.scanBufs == nil {
+	if len(p.scanBufs) == 0 {
 		return
 	}
 	p.resp.Pairs = nil
 	for i := range p.resp.Sub {
 		p.resp.Sub[i].Pairs = nil
 	}
-	for _, sb := range p.scanBufs {
+	for i, sb := range p.scanBufs {
 		putScanBuf(sb)
+		p.scanBufs[i] = nil
 	}
-	p.scanBufs = nil
+	p.scanBufs = p.scanBufs[:0]
+}
+
+// closedReady is the ready channel of every inline pending: its
+// response is complete before the writer can see it.
+var closedReady = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+// readPool recycles inline pendings, so a single read costs no
+// allocation between decode and encode.
+var readPool = sync.Pool{New: func() any { return new(pending) }}
+
+// finish releases p's scan buffers once its response is encoded (or
+// abandoned) and recycles an inline pending; p is dead afterwards.
+func (p *pending) finish() {
+	p.release()
+	if p.inline {
+		readPool.Put(p)
+	}
+}
+
+// newReadPending takes an inline pending for a single read from the
+// pool.
+func newReadPending(req wire.Request) *pending {
+	p := readPool.Get().(*pending)
+	sbs := p.scanBufs
+	*p = pending{req: req, ready: closedReady, inline: true, scanBufs: sbs}
+	return p
 }
 
 func newPending(req wire.Request) *pending {
@@ -101,9 +139,10 @@ func newPending(req wire.Request) *pending {
 	return p
 }
 
-// opDone marks one constituent operation complete.
+// opDone marks one constituent operation complete. An inline read is
+// complete by construction: it is queued only after it has executed.
 func (p *pending) opDone() {
-	if p.remaining.Add(-1) == 0 {
+	if !p.inline && p.remaining.Add(-1) == 0 {
 		close(p.ready)
 	}
 }
@@ -216,10 +255,20 @@ func (c *conn) readLoop() {
 			c.fail(err)
 			return
 		}
-		p := newPending(req)
-		if c.srv.walDefersAcks {
-			p.applied = make(chan struct{})
-			p.appliedLeft.Store(1)
+		// A single read is answered right here, before it is queued: the
+		// reader is respQ's only sender, so queuing it after execution
+		// still fixes response order at request order, and the writer
+		// never has to park on (or be woken by) its ready channel.
+		inline := req.Op == wire.OpGet || req.Op == wire.OpScan
+		var p *pending
+		if inline {
+			p = newReadPending(req)
+		} else {
+			p = newPending(req)
+			if c.srv.walDefersAcks {
+				p.applied = make(chan struct{})
+				p.appliedLeft.Store(1)
+			}
 		}
 		c.reqSeq++
 		if sampled {
@@ -227,8 +276,15 @@ func (c *conn) readLoop() {
 			p.span = c.id<<24 | c.reqSeq&0xFFFFFF
 			c.tb.Record(trace.KindReqDecode, 0, t0, c.tb.Now()-t0, p.span, uint64(req.Op))
 		}
-		c.respQ <- p // admission: response order fixed here
-		if !c.dispatch(ctx, p) {
+		var ok bool
+		if inline {
+			ok = c.dispatchOne(ctx, p, &p.req, &p.resp)
+			c.respQ <- p
+		} else {
+			c.respQ <- p // admission: response order fixed here
+			ok = c.dispatch(ctx, p)
+		}
+		if !ok {
 			// A handler panic was contained: every constituent of p got a
 			// StatusErr answer, but this connection's state is suspect —
 			// stop reading and let the writer drain and close it. Other
@@ -258,9 +314,7 @@ func (c *conn) fail(err error) {
 		return
 	}
 	c.srv.stats.errors.Add(1)
-	p := &pending{resp: wire.Response{Status: wire.StatusErr, Err: err.Error()}, ready: make(chan struct{})}
-	close(p.ready)
-	c.respQ <- p
+	c.respQ <- &pending{resp: wire.Response{Status: wire.StatusErr, Err: err.Error()}, ready: closedReady}
 }
 
 // dispatch routes one admitted request, reporting false if a handler
@@ -434,11 +488,24 @@ func (c *conn) writeLoop() {
 		c.nc.Close()
 	}
 	for p := range c.respQ {
-		<-p.ready
+		select {
+		case <-p.ready:
+		default:
+			// p is still executing (a write at its executor or behind a
+			// group-commit fsync). Put the responses already encoded on
+			// the wire before parking, so they do not wait behind it.
+			if !broken && bw.Buffered() > 0 {
+				c.armWrite()
+				if err = bw.Flush(); err != nil {
+					brk()
+				}
+			}
+			<-p.ready
+		}
 		if broken {
 			// The client is gone but the queue must still drain so the
 			// reader never blocks on a full respQ.
-			p.release()
+			p.finish()
 			continue
 		}
 		var t0 int64
@@ -446,26 +513,27 @@ func (c *conn) writeLoop() {
 			t0 = c.tb.Now()
 		}
 		buf, err = wire.AppendResponse(buf[:0], &p.req, &p.resp)
-		p.release() // Pairs are encoded (or abandoned); pool their storage
 		if err != nil {
 			// Encoding bug or oversized result; answer with an error
 			// frame to keep the stream aligned.
 			e := wire.Response{Status: wire.StatusErr, Err: err.Error()}
 			buf, err = wire.AppendResponse(buf[:0], &p.req, &e)
-			if err != nil {
-				brk()
-				continue
-			}
+		}
+		span := p.span
+		p.finish() // Pairs are encoded (or abandoned); pool their storage
+		if err != nil {
+			brk()
+			continue
 		}
 		c.armWrite()
 		if _, err = bw.Write(buf); err != nil {
 			brk()
 			continue
 		}
-		if p.span != 0 {
+		if span != 0 {
 			// Encode-and-write span: buffered, so usually cheap; stalls
 			// here mean a slow or stopped peer.
-			c.tb.Record(trace.KindReqWrite, 0, t0, c.tb.Now()-t0, p.span, 0)
+			c.tb.Record(trace.KindReqWrite, 0, t0, c.tb.Now()-t0, span, 0)
 		}
 		if cap(buf) > respRetain {
 			// One huge scan response must not pin a megabyte for the

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"optiql/internal/art"
@@ -95,15 +94,21 @@ func (s *Server) shardFor(k uint64) *shard {
 	return s.shards[shardHash(k)%uint64(len(s.shards))]
 }
 
-// scanBuf is a pooled scan result buffer. A response's Pairs alias its
-// storage from dispatch until the writer has encoded the response
-// frame, at which point the pending releases it (conn.go). Capacity
-// starts at one MaxScan and grows as needed (several shards can each
-// contribute up to max pairs before the merge truncates); grown
-// buffers are pooled at their grown size.
+// scanBuf is a pooled scan buffer. kvs stages the per-shard runs back
+// to back, runs holds the merge cursors into them and out the merged
+// result. A response's Pairs alias out from dispatch until the writer
+// has encoded the response frame, at which point the pending releases
+// the buffer (conn.go). All three grow as needed (several shards can
+// each contribute up to max pairs) and are pooled at their grown size.
 type scanBuf struct {
-	kvs []wire.KV
+	kvs  []wire.KV
+	runs []scanRun
+	out  []wire.KV
 }
+
+// scanRun is a merge cursor: the unconsumed part kvs[pos:end] of one
+// shard's ascending run.
+type scanRun struct{ pos, end int }
 
 var scanBufPool = sync.Pool{New: func() any {
 	return &scanBuf{kvs: make([]wire.KV, 0, wire.MaxScan)}
@@ -113,34 +118,46 @@ var scanBufPool = sync.Pool{New: func() any {
 // up to max pairs, staged in a pooled buffer the caller must hand back
 // (pending.release) once the response is encoded. Keys are
 // hash-partitioned, so a range covers every shard: each shard
-// contributes its first max pairs >= start and the merge keeps the
-// smallest max overall. The result is not a snapshot — shards are
-// scanned one after another — matching the per-leaf (rather than
-// whole-range) consistency the underlying scans provide.
+// contributes its first max pairs >= start, already in key order, and
+// a k-way merge of those runs stops after the smallest max overall.
+// The result is not a snapshot — shards are scanned one after another
+// — matching the per-leaf (rather than whole-range) consistency the
+// underlying scans provide.
 func (s *Server) scanAll(c *locks.Ctx, start uint64, max int) ([]wire.KV, *scanBuf) {
 	sb := scanBufPool.Get().(*scanBuf)
-	all := sb.kvs[:0]
+	kvs, runs := sb.kvs[:0], sb.runs[:0]
 	for _, sh := range s.shards {
-		all = sh.idx.Scan(c, start, max, all)
-	}
-	slices.SortFunc(all, func(a, b wire.KV) int {
-		switch {
-		case a.Key < b.Key:
-			return -1
-		case a.Key > b.Key:
-			return 1
+		lo := len(kvs)
+		kvs = sh.idx.Scan(c, start, max, kvs)
+		if len(kvs) > lo {
+			runs = append(runs, scanRun{lo, len(kvs)})
 		}
-		return 0
-	})
-	sb.kvs = all // keep any growth for reuse
-	if len(all) > max {
-		all = all[:max]
 	}
-	return all, sb
+	out := sb.out[:0]
+	for len(out) < max && len(runs) > 1 {
+		// Shards hold disjoint keys, so the smallest head is unique.
+		m := 0
+		for i := 1; i < len(runs); i++ {
+			if kvs[runs[i].pos].Key < kvs[runs[m].pos].Key {
+				m = i
+			}
+		}
+		out = append(out, kvs[runs[m].pos])
+		if runs[m].pos++; runs[m].pos == runs[m].end {
+			runs[m] = runs[len(runs)-1]
+			runs = runs[:len(runs)-1]
+		}
+	}
+	if len(runs) == 1 && len(out) < max {
+		r := runs[0]
+		out = append(out, kvs[r.pos:min(r.end, r.pos+max-len(out))]...)
+	}
+	sb.kvs, sb.runs, sb.out = kvs, runs, out // keep any growth for reuse
+	return out, sb
 }
 
 // putScanBuf returns a scan buffer to the pool.
 func putScanBuf(sb *scanBuf) {
-	sb.kvs = sb.kvs[:0]
+	sb.kvs, sb.runs, sb.out = sb.kvs[:0], sb.runs[:0], sb.out[:0]
 	scanBufPool.Put(sb)
 }

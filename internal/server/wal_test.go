@@ -366,3 +366,43 @@ func TestWALReadYourWrites(t *testing.T) {
 		}
 	}
 }
+
+// TestWriterFlushesBeforeWaitingOnWrite: a response already encoded
+// must not sit in the writer's buffer while the writer waits on a
+// later request that is still executing. A GET pipelined ahead of a
+// PUT whose ack waits on a slow fsync has to arrive long before that
+// fsync finishes.
+func TestWriterFlushesBeforeWaitingOnWrite(t *testing.T) {
+	const syncDelay = 300 * time.Millisecond
+	cfg := walConfig(t.TempDir(), "btree", wal.SyncAlways)
+	cfg.WALSyncFile = faults.SlowSync(syncDelay)
+	_, addr := startServer(t, cfg)
+	cl, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.SetTimeout(10 * time.Second)
+	if err := cl.Send(wire.Get(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Send(wire.Put(2, 20)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := cl.Recv(); err != nil || resp.Status != wire.StatusNotFound {
+		t.Fatalf("get = %+v, %v", resp, err)
+	}
+	if d := time.Since(start); d > syncDelay/3 {
+		t.Fatalf("GET answered after %v, behind the PUT's %v fsync", d, syncDelay)
+	}
+	if resp, err := cl.Recv(); err != nil || resp.Status != wire.StatusOK || !resp.Inserted {
+		t.Fatalf("put = %+v, %v", resp, err)
+	}
+	if d := time.Since(start); d < syncDelay {
+		t.Fatalf("PUT acked after %v, before its %v fsync", d, syncDelay)
+	}
+}

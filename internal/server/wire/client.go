@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"time"
@@ -21,7 +22,7 @@ type Client struct {
 	nc      net.Conn
 	br      *bufio.Reader
 	bw      *bufio.Writer
-	pending []Request // FIFO of unanswered requests
+	pending reqRing // FIFO of unanswered requests
 	rbuf    FrameBuf
 	timeout time.Duration
 	err     error // sticky; set by the first transport/decode failure
@@ -70,10 +71,16 @@ func TuneTCP(nc net.Conn) {
 	}
 }
 
-// SetTimeout bounds each subsequent Recv (and the implicit flush
-// before it) with a deadline: a server that neither answers nor
-// closes within d yields a timeout error instead of pinning the
-// caller forever. Zero disables the bound.
+// SetTimeout bounds each subsequent blocking Recv (and the implicit
+// flush before it) and each Flush with a deadline: a server that
+// neither answers nor closes within d yields a timeout error instead
+// of pinning the caller forever. Zero disables the bound.
+//
+// The deadline is armed only when the call has to touch the socket —
+// a Flush with requests buffered, or a Recv whose response is not yet
+// fully buffered. A Recv served entirely from already-received data
+// cannot block, so it neither arms nor can fail with a timeout, however
+// long ago the deadline was last armed.
 func (c *Client) SetTimeout(d time.Duration) { c.timeout = d }
 
 // Err returns the sticky error poisoning this client, if any.
@@ -93,7 +100,10 @@ func (c *Client) Send(r Request) error {
 	if c.err != nil {
 		return c.err
 	}
-	frame, err := AppendRequest(nil, &r)
+	// Encode straight into the write buffer's free space; the Write
+	// below is then a self-copy (AppendRequest only allocates when the
+	// frame outgrows what is left of the buffer).
+	frame, err := AppendRequest(c.bw.AvailableBuffer(), &r)
 	if err != nil {
 		// Encoding errors are the caller's bug, not stream damage: the
 		// request never touched the wire, so the client stays usable.
@@ -102,15 +112,24 @@ func (c *Client) Send(r Request) error {
 	if _, err := c.bw.Write(frame); err != nil {
 		return c.poison(err)
 	}
-	c.pending = append(c.pending, r)
+	c.pending.push(r)
 	return nil
 }
 
-// Flush writes all buffered requests to the connection.
+// Flush writes all buffered requests to the connection. With nothing
+// buffered it returns without touching the socket.
 func (c *Client) Flush() error {
 	if c.err != nil {
 		return c.err
 	}
+	if c.bw.Buffered() == 0 {
+		return nil
+	}
+	return c.flush()
+}
+
+// flush arms the deadline and flushes the write buffer.
+func (c *Client) flush() error {
 	c.armDeadline()
 	if err := c.bw.Flush(); err != nil {
 		return c.poison(err)
@@ -119,13 +138,25 @@ func (c *Client) Flush() error {
 }
 
 // Pending returns the number of sent-but-unanswered requests.
-func (c *Client) Pending() int { return len(c.pending) }
+func (c *Client) Pending() int { return c.pending.n }
 
 // armDeadline applies the per-request timeout to the connection.
 func (c *Client) armDeadline() {
 	if c.timeout > 0 {
 		c.nc.SetDeadline(time.Now().Add(c.timeout))
 	}
+}
+
+// frameBuffered reports whether a whole response frame is already in
+// the read buffer, so reading it cannot block. It checks Buffered
+// before peeking at the header, so the check itself never reads.
+func (c *Client) frameBuffered() bool {
+	n := c.br.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := c.br.Peek(4)
+	return uint64(n-4) >= uint64(binary.BigEndian.Uint32(hdr))
 }
 
 // Recv flushes buffered requests and reads the response to the oldest
@@ -135,18 +166,21 @@ func (c *Client) Recv() (Response, error) {
 	if c.err != nil {
 		return Response{}, c.err
 	}
-	if len(c.pending) == 0 {
+	if c.pending.n == 0 {
 		return Response{}, fmt.Errorf("wire: Recv with no pending request")
 	}
-	if err := c.Flush(); err != nil {
-		return Response{}, err
+	// Touch the socket — and pay for arming the deadline — only when
+	// there are requests to send or the response must still be read.
+	if c.bw.Buffered() > 0 || !c.frameBuffered() {
+		if err := c.flush(); err != nil {
+			return Response{}, err
+		}
 	}
 	payload, err := ReadFrameBuf(c.br, &c.rbuf)
 	if err != nil {
 		return Response{}, c.poison(err)
 	}
-	req := c.pending[0]
-	c.pending = c.pending[1:]
+	req := c.pending.pop()
 	resp, err := ParseResponse(payload, &req)
 	c.rbuf.Release() // resp owns its data; a big frame's buffer goes back
 	if err != nil {
@@ -161,8 +195,8 @@ func (c *Client) Do(r Request) (Response, error) {
 	if c.err != nil {
 		return Response{}, c.err
 	}
-	if len(c.pending) != 0 {
-		return Response{}, fmt.Errorf("wire: Do with %d pipelined requests outstanding", len(c.pending))
+	if c.pending.n != 0 {
+		return Response{}, fmt.Errorf("wire: Do with %d pipelined requests outstanding", c.pending.n)
 	}
 	if err := c.Send(r); err != nil {
 		return Response{}, err
@@ -185,3 +219,39 @@ func (c *Client) CloseWrite() error {
 
 // Close closes the connection.
 func (c *Client) Close() error { return c.nc.Close() }
+
+// reqRing is the client's FIFO of unanswered requests: a power-of-two
+// circular buffer that grows only when full, so a steady pipelining
+// window reuses the same storage for the life of the connection.
+type reqRing struct {
+	buf  []Request
+	head int
+	n    int
+}
+
+// push appends r at the tail.
+func (q *reqRing) push(r Request) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = r
+	q.n++
+}
+
+// pop removes and returns the head; the ring must not be empty.
+func (q *reqRing) pop() Request {
+	r := q.buf[q.head]
+	q.buf[q.head] = Request{} // drop a batch's Sub for the collector
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return r
+}
+
+// grow doubles the ring, unwrapping its contents to the front.
+func (q *reqRing) grow() {
+	nb := make([]Request, max(16, 2*len(q.buf)))
+	for i := 0; i < q.n; i++ {
+		nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+	}
+	q.buf, q.head = nb, 0
+}

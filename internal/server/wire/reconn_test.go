@@ -143,32 +143,96 @@ func TestClientEncodingErrorDoesNotPoison(t *testing.T) {
 }
 
 // TestClientTimeout: a server that never answers must not pin the
-// caller past the configured deadline.
+// caller past the configured deadline. The deadline bounds socket I/O,
+// not buffered data: a Recv whose response already sits in the read
+// buffer succeeds long after the last armed deadline has passed, while
+// the next Recv, which must read, still times out.
 func TestClientTimeout(t *testing.T) {
-	addr := startStub(t, func(nc net.Conn) {
-		io.Copy(io.Discard, nc) // read forever, answer never
-		nc.Close()
+	const timeout = 60 * time.Millisecond
+	t.Run("unanswered", func(t *testing.T) {
+		addr := startStub(t, func(nc net.Conn) {
+			io.Copy(io.Discard, nc) // read forever, answer never
+			nc.Close()
+		})
+		cl, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		cl.SetTimeout(timeout)
+		start := time.Now()
+		_, err = cl.Do(Get(1))
+		if err == nil {
+			t.Fatal("Do returned without a response")
+		}
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("timeout error = %v", err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("timeout took %v", d)
+		}
+		if !Retryable(err) {
+			t.Fatal("deadline error classified fatal")
+		}
 	})
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	cl.SetTimeout(60 * time.Millisecond)
-	start := time.Now()
-	_, err = cl.Do(Get(1))
-	if err == nil {
-		t.Fatal("Do returned without a response")
-	}
-	if !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("timeout error = %v", err)
-	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("timeout took %v", d)
-	}
-	if !Retryable(err) {
-		t.Fatal("deadline error classified fatal")
-	}
+	t.Run("buffered", func(t *testing.T) {
+		addr := startStub(t, func(nc net.Conn) {
+			defer nc.Close()
+			br := bufio.NewReader(nc)
+			var buf, out []byte
+			for i := 0; i < 3; i++ {
+				payload, err := ReadFrame(br, &buf)
+				if err != nil {
+					return
+				}
+				req, err := ParseRequest(payload)
+				if err != nil {
+					return
+				}
+				if i < 2 { // answer the first two in one write, never the third
+					resp := Response{Status: StatusOK, Value: req.Key * 2}
+					if out, err = AppendResponse(out, &req, &resp); err != nil {
+						return
+					}
+				}
+			}
+			nc.Write(out)
+			io.Copy(io.Discard, nc)
+		})
+		cl, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		cl.SetTimeout(timeout)
+		for k := uint64(1); k <= 3; k++ {
+			if err := cl.Send(Get(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(timeout / 3) // both answers are in the socket before the first read
+		if resp, err := cl.Recv(); err != nil || resp.Value != 2 {
+			t.Fatalf("first Recv = %+v, %v", resp, err)
+		}
+		if !cl.frameBuffered() {
+			t.Fatal("second response not buffered by the first read")
+		}
+		time.Sleep(2 * timeout) // the deadline armed for the first read has passed
+		if resp, err := cl.Recv(); err != nil || resp.Value != 4 {
+			t.Fatalf("buffered Recv after the deadline = %+v, %v", resp, err)
+		}
+		start := time.Now()
+		_, err = cl.Recv()
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("blocking Recv error = %v, want a deadline error", err)
+		}
+		if d := time.Since(start); d < timeout/2 || d > 2*time.Second {
+			t.Fatalf("blocking Recv timed out after %v, want about %v", d, timeout)
+		}
+	})
 }
 
 // TestReconnClientHealsResets: a server that kills every connection
