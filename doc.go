@@ -5,7 +5,9 @@
 // benchmark harness that regenerates the paper's evaluation.
 //
 // The implementation lives under internal/ (see DESIGN.md for the
-// system inventory); runnable examples are under examples/ and the
-// evaluation drivers under cmd/. The root package exists to host the
-// module documentation and the per-figure benchmarks in bench_test.go.
+// system inventory); runnable examples are under examples/. Every
+// figure and table of the evaluation runs with cmd/experiments
+// (-only <name>); cmd/indexbench drives a single index run or, with
+// -net, a running cmd/optiqld server. The root package exists to host
+// the module documentation.
 package optiql

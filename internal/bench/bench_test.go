@@ -98,7 +98,7 @@ func TestMicroNORStarvesReaders(t *testing.T) {
 	// every writer happens to be descheduled, so the paper's large gap
 	// (Table 1: 1.67% vs 32%) needs real parallelism to reproduce; the
 	// unit test therefore only checks the harness accounting, and the
-	// full experiment (cmd/microbench -experiment table1) reports the
+	// full experiment (cmd/experiments -only table1) reports the
 	// measured numbers. With >= 2 cores, expect orRate >> norRate.
 	for _, r := range []float64{norRate, orRate} {
 		if r < 0 || r > 1 {

@@ -215,16 +215,4 @@ func TestReportJSON(t *testing.T) {
 	if len(counters) != int(obs.NumEvents) {
 		t.Fatalf("counters has %d entries, want %d", len(counters), obs.NumEvents)
 	}
-
-	micro, err := RunMicro(MicroConfig{Scheme: "OptLock", Threads: 2, Locks: 1, ReadPct: 80, Duration: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := micro.Report("microbench").Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal([]byte(buf.String()), &back); err != nil {
-		t.Fatalf("micro report is not valid JSON: %v", err)
-	}
 }

@@ -31,29 +31,3 @@ func (r IndexResult) Report(tool string) *obs.Report {
 	rep.AttachContention(obs.ContentionFrom(r.Config.Trace, nil))
 	return rep
 }
-
-// Report converts a microbenchmark run into a machine-readable run
-// report.
-func (r MicroResult) Report(tool string) *obs.Report {
-	rep := &obs.Report{
-		Tool:           tool,
-		Timestamp:      time.Now(),
-		Host:           obs.CurrentHost(),
-		Config:         r.Config,
-		ElapsedSeconds: r.Elapsed.Seconds(),
-		Ops:            r.Ops,
-		Mops:           r.Mops(),
-		Extra: map[string]any{
-			"writes":            r.Writes,
-			"reads":             r.Reads,
-			"read_attempts":     r.ReadAttempts,
-			"read_success_rate": r.ReadSuccessRate(),
-			"fairness_ratio":    r.FairnessRatio(),
-			"per_thread_ops":    r.PerThreadOps,
-		},
-	}
-	if r.Obs != nil {
-		rep.Counters = r.Obs.Map()
-	}
-	return rep
-}

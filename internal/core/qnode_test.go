@@ -157,3 +157,27 @@ func TestPoolCapacityConserved(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkQNodeTranslation isolates the cost DESIGN.md calls out as
+// OptiQL's compactness tradeoff: translating queue-node IDs through
+// the pool array on the contended acquire path, versus the pointer
+// MCS lock that needs no translation.
+func BenchmarkQNodeTranslation(b *testing.B) {
+	pool := NewPool(16)
+	b.Run("pool-get-put", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			q := pool.Get()
+			pool.Put(q)
+		}
+	})
+	b.Run("translate", func(b *testing.B) {
+		q := pool.Get()
+		defer pool.Put(q)
+		id := q.ID()
+		var sink *QNode
+		for i := 0; i < b.N; i++ {
+			sink = pool.At(id)
+		}
+		_ = sink
+	})
+}

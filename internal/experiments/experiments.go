@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the
 // OptiQL paper's evaluation (Section 7). Each function prints the same
-// rows/series the paper reports, as plain text tables; the cmd/ tools
-// are thin wrappers around them.
+// rows/series the paper reports, as plain text tables; cmd/experiments
+// runs them by name (ByName).
 //
 // Scale knobs (thread counts, run duration, repetitions, record
 // counts) default to laptop/CI-friendly values; pass the paper's

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +18,18 @@ func tinyOptions(buf *strings.Builder) Options {
 		SimCycles: 50_000,
 		Out:       buf,
 	}
+}
+
+// simDigests pins the SHA-256 of each simulated experiment's output at
+// tinyOptions. The simulator is seeded, so the tables repeat byte for
+// byte; a refactor of internal/sim that changes any cell fails here.
+var simDigests = map[string]string{
+	"simfig6":     "34f6806e9412c08ca74e3a2526962b810a0f7b6dd56fca4bbd081507cf9086d3",
+	"simfig7":     "4482a0d002cc03221d7f830b8921daec253705a5578a138674e2ac8d7a2b1e1a",
+	"simtable1":   "4f945c39e073c0127a10be2596b1ea18aa5f5ca38c69548b3e252b3d4841a69d",
+	"simfig8":     "40b6878ff09239c52c05c62967caf644018c8a271fa578234fd9ac7f7ac07459",
+	"simfig9":     "cb1d3c1cd2f5c14ffd633d409bfef90dddbb71d8bb918867962dd9853801c45c",
+	"simfairness": "88f71440a432b5163546811b496f70ac494654a1044b5b78d9d79fe286c490f3",
 }
 
 func TestEveryExperimentRunsAndPrints(t *testing.T) {
@@ -55,6 +69,13 @@ func TestEveryExperimentRunsAndPrints(t *testing.T) {
 			}
 			if !strings.Contains(out, "OptiQL") {
 				t.Fatalf("output has no OptiQL column:\n%s", out)
+			}
+			if !strings.HasPrefix(name, "sim") {
+				return
+			}
+			sum := sha256.Sum256([]byte(out))
+			if got := hex.EncodeToString(sum[:]); got != simDigests[name] {
+				t.Fatalf("output digest %s, want %s:\n%s", got, simDigests[name], out)
 			}
 		})
 	}

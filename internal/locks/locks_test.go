@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"optiql/internal/core"
 )
@@ -233,6 +234,86 @@ func TestMCSRWFairnessFIFO(t *testing.T) {
 	l.ReleaseSh(c0, rt)
 	<-writerGranted
 	<-lateAdmitted
+}
+
+// TestMCSRWLateReaderWaitsForGroupTail pins what happens to a reader
+// that links behind a granted reader group after the group tail's own
+// grant-time extension check: it is not admitted to the active group,
+// and it does not wait for the group to drain either. The group tail's
+// release grants it as the head of a new group, while an earlier
+// member of the old group may still hold the lock. (The MCS fair
+// reader-writer lock would admit it to the active group at once.)
+func TestMCSRWLateReaderWaitsForGroupTail(t *testing.T) {
+	pool := core.NewPool(32)
+	l := new(MCSRW)
+	cw := newCtx(t, pool)
+	wtok := l.AcquireEx(cw)
+
+	type reader struct {
+		granted chan struct{}
+		release chan struct{}
+		done    chan struct{}
+	}
+	// startReader queues a reader behind the current tail and returns
+	// once it has linked itself there, with its queue node.
+	startReader := func() (*reader, *rwNode) {
+		prev := l.tail.Load()
+		r := &reader{make(chan struct{}), make(chan struct{}), make(chan struct{})}
+		go func() {
+			c := NewCtx(pool, 4)
+			defer c.Close()
+			tok, _ := l.AcquireSh(c)
+			close(r.granted)
+			<-r.release
+			l.ReleaseSh(c, tok)
+			close(r.done)
+		}()
+		var s core.Spinner
+		for prev.next.Load() == nil {
+			s.Spin()
+		}
+		return r, prev.next.Load()
+	}
+
+	// The writer's release batch-grants {a, b}; b is the group tail.
+	a, _ := startReader()
+	b, bn := startReader()
+	l.ReleaseEx(cw, wtok)
+	<-a.granted
+	<-b.granted
+	if l.groupTail.Load() != bn || l.readers.Load() != 2 {
+		t.Fatalf("group = {a, b} with tail b expected: readers=%d", l.readers.Load())
+	}
+
+	// c links behind b after b's extension check has run.
+	c, cn := startReader()
+	select {
+	case <-c.granted:
+		t.Fatal("late reader admitted to the active group")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if cn.granted.Load() != 0 {
+		t.Fatal("late reader granted while its group tail holds")
+	}
+
+	// The tail's release admits c while a still holds: c waited for b,
+	// not for the group to drain.
+	close(b.release)
+	<-b.done
+	<-c.granted
+	if got := l.readers.Load(); got != 2 {
+		t.Fatalf("readers = %d after b's release, want 2 (a and c)", got)
+	}
+	if l.groupTail.Load() != cn {
+		t.Fatal("c does not close the new group")
+	}
+	close(a.release)
+	<-a.done
+	close(c.release)
+	<-c.done
+	if l.tail.Load() != nil || l.readers.Load() != 0 {
+		t.Fatalf("lock not free: tail=%p readers=%d", l.tail.Load(), l.readers.Load())
+	}
 }
 
 // TestMCSRWConcurrentReaders checks that a group of readers holds the

@@ -38,6 +38,16 @@ func (n *rwNode) reset(class uint32) {
 // count to reach zero — so the last reader to finish is what actually
 // admits it, and no reader ever blocks waiting for its own group.
 //
+// A group is closed once its tail has been granted and has run its
+// grant-time extension check. A reader that links behind the tail
+// after that check is not admitted to the active group, even with no
+// writer queued. It waits until the tail itself releases, whose
+// structural handover grants it as the head of a new group; earlier
+// members of the old group may still hold the lock at that point, so
+// it does not wait for the whole group to drain. Mellor-Crummey &
+// Scott's fair lock differs here: a reader whose predecessor is an
+// active reader joins that group at once.
+//
 // It preserves the properties the paper evaluates MCS-RW for — strict
 // FIFO fairness, local spinning (robustness under contention), and the
 // cost that readers must write to shared memory — while using a design

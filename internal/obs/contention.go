@@ -267,8 +267,8 @@ func (p *CombinePolicy) IsHot(key uint64) bool {
 }
 
 // LatencyReportFrom converts a histogram into the report schema (nil
-// for empty histograms). Shared by the bench result reports, cmd/latency
-// and the contention layer so every tool emits one latency shape.
+// for empty histograms). Shared by the bench result reports and the
+// contention layer so every tool emits one latency shape.
 func LatencyReportFrom(h *hist.Histogram) *LatencyReport {
 	if h == nil || h.Count() == 0 {
 		return nil

@@ -10,7 +10,8 @@
 // per-worker counters hanging off the worker's locks.Ctx. Counters are
 // allocation-free on the hot path and cache-line padded per worker, so
 // they are cheap enough to leave enabled in production runs (the A/B
-// benchmark in bench_test.go documents the overhead; see DESIGN.md).
+// BenchmarkObsOverhead in internal/bench documents the overhead; see
+// DESIGN.md).
 //
 // Each worker owns one *Counters obtained from a run's Registry; the
 // Registry merges all of them into an immutable Snapshot at run end, or

@@ -8,14 +8,14 @@ import (
 	"time"
 )
 
-// Report is the machine-readable result of one benchmark or stress
-// run: configuration, throughput, merged event counters, the
+// Report is the machine-readable result of one benchmark run:
+// configuration, throughput, merged event counters, the
 // per-interval throughput timeline and latency percentiles. The cmd
 // front-ends emit it with -json so perf trajectories (BENCH_*.json)
 // and Figure-9-style robustness plots can accumulate across runs.
 type Report struct {
 	// Tool identifies the producing command ("indexbench",
-	// "microbench", "stress").
+	// "indexbench-net").
 	Tool string `json:"tool"`
 	// Timestamp is the wall-clock time the report was produced.
 	Timestamp time.Time `json:"timestamp"`
